@@ -10,11 +10,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-import time
 
 import numpy as np
 
-from .errors import StaleProjectionError
+from .errors import LockContentionError, StaleProjectionError
+from .evaluate import DEFAULT_LABELS_MEAN, DEFAULT_MODE, DEFAULT_SPREAD, DEFAULT_SWEEP_QUERIES
 from .evaluate import (
     gen_synthetic_multilabel,
     mean_average_precision,
@@ -36,14 +36,11 @@ from .fileformats import (
     write_labels,
 )
 from .index import CodeIndex
-from .itq import encode, fit_pca_itq
-from .labelcodes import sample_label_matrix
-from .online import init_projection_state, process_chunk
+from .itq import DEFAULT_ITQ_ITERS, encode
+from .online import DEFAULT_AGGRESSIVENESS, DEFAULT_CHUNK_SIZE, DEFAULT_INIT_SIZE
+from .online import init_models, stream_chunks
 
 DEFAULT_BITS = 32
-DEFAULT_INIT_SIZE = 300
-DEFAULT_CHUNK = 1000
-DEFAULT_AGGRESSIVENESS = 0.1
 DEFAULT_C_VALUES = "0.0001,0.001,0.01,0.1,1,10"
 
 
@@ -52,6 +49,18 @@ def _write_csv(path: str, header: list[str], rows: list[list]):
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _read_labelled(features_path: str, labels_path: str):
+    features = read_features(features_path)
+    labels, n_classes = read_labels(labels_path)
+    if len(labels) != features.shape[0]:
+        raise ValueError(f"{features.shape[0]} feature rows but {len(labels)} label lines")
+    return features, labels, n_classes
+
+
+def _eval_row(points_seen: int, mode: str, run) -> list:
+    return [points_seen, mode, run.query_ids.size, int(run.evaluated.sum()), repr(run.mean_ap)]
 
 
 def cmd_gen_synth(args) -> int:
@@ -81,28 +90,18 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_init(args) -> int:
-    features = read_features(args.features)
-    labels, n_classes = read_labels(args.labels)
-    if len(labels) != features.shape[0]:
-        raise ValueError(
-            f"{features.shape[0]} feature rows but {len(labels)} label lines"
-        )
+    features, _, n_classes = _read_labelled(args.features, args.labels)
     if args.init_size > features.shape[0]:
         raise ValueError(
             f"--init-size {args.init_size} exceeds the {features.shape[0]} available points"
         )
-    hash_model = fit_pca_itq(
-        features[: args.init_size].astype(np.float64),
+    hash_model, label_matrix, state = init_models(
+        features[: args.init_size],
         args.bits,
-        iters=args.itq_iters,
+        n_classes,
         seed=args.seed,
-    )
-    label_matrix = sample_label_matrix(n_classes, args.bits, seed=args.seed + 1)
-    state = init_projection_state(
-        args.bits,
-        features.shape[1],
         aggressiveness=args.aggressiveness,
-        seed=args.seed + 2,
+        itq_iters=args.itq_iters,
     )
     bundle = ModelBundle(
         hash_model=hash_model,
@@ -126,16 +125,11 @@ def cmd_init(args) -> int:
 def cmd_stream(args) -> int:
     with bundle_lock(args.bundle):
         bundle = load_bundle(args.bundle)
-        features = read_features(args.features)
-        labels, n_classes = read_labels(args.labels)
+        features, labels, n_classes = _read_labelled(args.features, args.labels)
         if n_classes != bundle.label_matrix.n_classes:
             raise ValueError(
                 f"label file has {n_classes} classes, bundle expects "
                 f"{bundle.label_matrix.n_classes}"
-            )
-        if len(labels) != features.shape[0]:
-            raise ValueError(
-                f"{features.shape[0]} feature rows but {len(labels)} label lines"
             )
         if features.shape[1] != bundle.hash_model.dim:
             raise ValueError(
@@ -166,23 +160,18 @@ def cmd_stream(args) -> int:
 
         metrics_rows = []
         cumulative = 0.0
-        for start in range(first, features.shape[0], chunk):
-            stop = min(start + chunk, features.shape[0])
-            t0 = time.perf_counter()
-            process_chunk(
-                state,
-                bundle.label_matrix,
-                bundle.hash_model,
-                features[start:stop].astype(np.float64),
-                labels[start:stop],
-                index=index,
-            )
-            train_s = time.perf_counter() - t0
-            refresh_s = 0.0
-            if args.refresh == "per-chunk":
-                t0 = time.perf_counter()
-                index.refresh_projected_codes(state.P)
-                refresh_s = time.perf_counter() - t0
+        chunks = stream_chunks(
+            state,
+            bundle.label_matrix,
+            bundle.hash_model,
+            index,
+            features,
+            labels,
+            first,
+            chunk,
+            refresh=args.refresh == "per-chunk",
+        )
+        for start, _, train_s, refresh_s in chunks:
             cumulative += train_s + refresh_s
             save_bundle(bundle_out, bundle)
             save_index(index_out, index)
@@ -240,7 +229,6 @@ def cmd_eval(args) -> int:
     db_labels, _ = read_labels(args.db_labels)
     init_size = bundle.config["init_size"]
     header = ["points_seen", "mode", "n_queries", "n_evaluated", "mean_ap"]
-    rows = []
     if args.checkpoints:
         if not args.db_features:
             raise ValueError("--checkpoints needs --db-features to replay the stream")
@@ -260,16 +248,7 @@ def cmd_eval(args) -> int:
             init_size=init_size,
             chunk_size=bundle.config["chunk_size"],
         )
-        for points_seen, run in curve:
-            rows.append(
-                [
-                    points_seen,
-                    args.mode,
-                    run.query_ids.size,
-                    int(run.evaluated.sum()),
-                    repr(run.mean_ap),
-                ]
-            )
+        rows = [_eval_row(points_seen, args.mode, run) for points_seen, run in curve]
     else:
         if not args.index:
             raise ValueError("eval needs --index (or --checkpoints with --db-features)")
@@ -283,15 +262,7 @@ def cmd_eval(args) -> int:
             db_labels[init_size : init_size + index.n_projected],
             args.mode,
         )
-        rows.append(
-            [
-                bundle.state.rounds_seen,
-                args.mode,
-                run.query_ids.size,
-                int(run.evaluated.sum()),
-                repr(run.mean_ap),
-            ]
-        )
+        rows = [_eval_row(bundle.state.rounds_seen, args.mode, run)]
     _write_csv(args.out, header, rows)
     for row in rows:
         print(f"points_seen={row[0]} mode={row[1]} mean_ap={row[4]}")
@@ -299,9 +270,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_c(args) -> int:
-    features = read_features(args.features).astype(np.float64)
-    labels, n_classes = read_labels(args.labels)
-    dataset = SyntheticDataset(features=features, labels=labels, n_classes=n_classes)
+    features, labels, n_classes = _read_labelled(args.features, args.labels)
+    dataset = SyntheticDataset(features.astype(np.float64), labels, n_classes)
     c_values = [float(c) for c in args.c_values.split(",") if c.strip()]
     rows = run_c_sweep(
         dataset,
@@ -337,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=64)
     p.add_argument("--classes", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--labels-mean", type=float, default=1.5)
-    p.add_argument("--spread", type=float, default=1.5)
+    p.add_argument("--labels-mean", type=float, default=DEFAULT_LABELS_MEAN)
+    p.add_argument("--spread", type=float, default=DEFAULT_SPREAD)
     p.add_argument("--n-queries", type=int, default=0)
     p.add_argument("--query-features")
     p.add_argument("--query-labels")
@@ -350,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--bits", type=int, default=DEFAULT_BITS)
     p.add_argument("--init-size", type=int, default=DEFAULT_INIT_SIZE)
-    p.add_argument("--itq-iters", type=int, default=50)
+    p.add_argument("--itq-iters", type=int, default=DEFAULT_ITQ_ITERS)
     p.add_argument("--aggressiveness", type=float, default=DEFAULT_AGGRESSIVENESS)
-    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
+    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_init)
 
@@ -373,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--mode", choices=["sym", "asym"], default="asym")
+    p.add_argument("--mode", choices=["sym", "asym"], default=DEFAULT_MODE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_query)
 
@@ -384,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--query-labels", required=True)
     p.add_argument("--db-labels", required=True)
     p.add_argument("--db-features")
-    p.add_argument("--mode", choices=["sym", "asym"], default="asym")
+    p.add_argument("--mode", choices=["sym", "asym"], default=DEFAULT_MODE)
     p.add_argument("--checkpoints")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_eval)
@@ -395,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bits", type=int, default=DEFAULT_BITS)
     p.add_argument("--c-values", default=DEFAULT_C_VALUES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-queries", type=int, default=500)
+    p.add_argument("--n-queries", type=int, default=DEFAULT_SWEEP_QUERIES)
     p.add_argument("--init-size", type=int, default=DEFAULT_INIT_SIZE)
-    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK)
-    p.add_argument("--mode", choices=["sym", "asym"], default="asym")
+    p.add_argument("--chunk", type=int, default=DEFAULT_CHUNK_SIZE)
+    p.add_argument("--mode", choices=["sym", "asym"], default=DEFAULT_MODE)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep_c)
     return parser
@@ -409,7 +379,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StaleProjectionError, RuntimeError) as e:
+    except (StaleProjectionError, LockContentionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:

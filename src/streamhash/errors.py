@@ -27,3 +27,7 @@ class StaleProjectionError(RuntimeError):
     Raised instead of silently serving rankings computed under an older
     projection (or no projection at all).
     """
+
+
+class LockContentionError(RuntimeError):
+    """Another command holds the bundle's exclusive lock."""

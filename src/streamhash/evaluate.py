@@ -14,12 +14,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .index import CodeIndex
-from .itq import HashModel, encode, fit_pca_itq
-from .labelcodes import LabelHashMatrix, sample_label_matrix
-from .online import ProjectionState, init_projection_state, process_chunk
+from .itq import DEFAULT_ITQ_ITERS, HashModel, encode
+from .labelcodes import LabelHashMatrix
+from .online import DEFAULT_AGGRESSIVENESS, DEFAULT_CHUNK_SIZE, DEFAULT_INIT_SIZE
+from .online import ProjectionState, init_models, init_projection_state, stream_chunks
 
-DEFAULT_INIT_SIZE = 300
-DEFAULT_CHUNK_SIZE = 1000
+DEFAULT_MODE = "asym"
+DEFAULT_LABELS_MEAN = 1.5
+DEFAULT_SPREAD = 1.5
+DEFAULT_SWEEP_QUERIES = 500
 
 
 @dataclass(eq=False)
@@ -47,10 +50,26 @@ class EvalRun:
     config: dict = field(default_factory=dict)
 
 
+def _label_matrix01(db_labels, query_label_sets) -> np.ndarray:
+    """(N, C) database class membership; C also spans every query class."""
+    n_classes = 0
+    for labels in list(db_labels) + list(query_label_sets):
+        for c in labels:
+            n_classes = max(n_classes, int(c) + 1)
+    out = np.zeros((len(db_labels), n_classes), dtype=bool)
+    for i, labels in enumerate(db_labels):
+        for c in labels:
+            out[i, c] = True
+    return out
+
+
+def _relevance(db01: np.ndarray, query_labels) -> np.ndarray:
+    return db01[:, sorted(int(c) for c in query_labels)].any(axis=1)
+
+
 def groundtruth_neighbors(query_labels, db_labels) -> np.ndarray:
     """Boolean relevance of every database item: shares >= 1 class."""
-    q = frozenset(query_labels)
-    return np.fromiter((bool(q & set(d)) for d in db_labels), dtype=bool, count=len(db_labels))
+    return _relevance(_label_matrix01(db_labels, [query_labels]), query_labels)
 
 
 def average_precision(ranked_ids, relevance) -> float:
@@ -69,14 +88,6 @@ def average_precision(ranked_ids, relevance) -> float:
     ranks = np.arange(1, hits.size + 1, dtype=np.float64)
     precision_at_hit = np.cumsum(hits)[hits] / ranks[hits]
     return float(precision_at_hit.sum() / n_rel)
-
-
-def _label_matrix01(labels_seq, n_classes: int) -> np.ndarray:
-    out = np.zeros((len(labels_seq), n_classes), dtype=bool)
-    for i, labels in enumerate(labels_seq):
-        for c in labels:
-            out[i, c] = True
-    return out
 
 
 def mean_average_precision(
@@ -106,11 +117,7 @@ def mean_average_precision(
     if len(query_labels) != query_features.shape[0]:
         raise ValueError("query features and labels disagree on the query count")
 
-    n_classes = 0
-    for labels in list(db_labels) + list(query_labels):
-        for c in labels:
-            n_classes = max(n_classes, int(c) + 1)
-    db01 = _label_matrix01(db_labels, n_classes)
+    db01 = _label_matrix01(db_labels, query_labels)
 
     n_queries = query_features.shape[0]
     ap_values = np.zeros(n_queries)
@@ -120,7 +127,7 @@ def mean_average_precision(
             ids, _ = index.query_symmetric(state.P, encode(hash_model, query_features[qi]), n)
         else:
             ids, _ = index.query_asymmetric(state.R, query_features[qi], n)
-        rel = db01[:, sorted(int(c) for c in query_labels[qi])].any(axis=1)
+        rel = _relevance(db01, query_labels[qi])
         evaluated[qi] = bool(rel.any())
         if evaluated[qi]:
             ap_values[qi] = average_precision(ids, rel)
@@ -140,9 +147,11 @@ def mean_average_precision(
 
 def mean_relevant_fraction(query_labels, db_labels) -> float:
     """Expected AP of a random ranking: mean share of relevant items."""
+    query_labels = list(query_labels)
+    db01 = _label_matrix01(db_labels, query_labels)
     fracs = []
     for labels in query_labels:
-        rel = groundtruth_neighbors(labels, db_labels)
+        rel = _relevance(db01, labels)
         if rel.any():
             fracs.append(rel.mean())
     return float(np.mean(fracs)) if fracs else 0.0
@@ -153,8 +162,8 @@ def gen_synthetic_multilabel(
     dim: int,
     n_classes: int,
     seed: int,
-    labels_per_point_mean: float = 1.5,
-    cluster_spread: float = 1.5,
+    labels_per_point_mean: float = DEFAULT_LABELS_MEAN,
+    cluster_spread: float = DEFAULT_SPREAD,
 ) -> SyntheticDataset:
     """Sample a multi-label dataset around Gaussian class centroids.
 
@@ -242,11 +251,11 @@ def run_streaming_pipeline(
     db_labels,
     n_classes: int,
     nbits: int,
-    aggressiveness: float = 0.1,
+    aggressiveness: float = DEFAULT_AGGRESSIVENESS,
     seed: int = 0,
     init_size: int = DEFAULT_INIT_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    itq_iters: int = 50,
+    itq_iters: int = DEFAULT_ITQ_ITERS,
     record_stream: bool = False,
 ) -> TrainedPipeline:
     """Initialise on the first init_size points, then stream the rest.
@@ -254,7 +263,7 @@ def run_streaming_pipeline(
     The first init_size points only train the fixed hash stage; streamed
     points (everything after them) are inserted into the index and drive
     the online updates, with a cache refresh per chunk. Seeds derive as
-    seed / seed+1 / seed+2 for hash stage / label hasher / projections.
+    in init_models.
     """
     db_features = np.asarray(db_features, dtype=np.float64)
     n = db_features.shape[0]
@@ -267,33 +276,17 @@ def run_streaming_pipeline(
         raise ValueError(f"{n} points but {len(db_labels)} label sets")
 
     t0 = time.perf_counter()
-    hash_model = fit_pca_itq(db_features[:init_size], nbits, iters=itq_iters, seed=seed)
-    label_matrix = sample_label_matrix(n_classes, nbits, seed=seed + 1)
-    state = init_projection_state(
-        nbits,
-        db_features.shape[1],
-        aggressiveness=aggressiveness,
-        seed=seed + 2,
-        record_stream=record_stream,
+    hash_model, label_matrix, state = init_models(
+        db_features[:init_size], nbits, n_classes, seed, aggressiveness, itq_iters, record_stream
     )
     index = CodeIndex(nbits)
     train_seconds = time.perf_counter() - t0
     refresh_seconds = 0.0
-    for start in range(init_size, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        t0 = time.perf_counter()
-        process_chunk(
-            state,
-            label_matrix,
-            hash_model,
-            db_features[start:stop],
-            db_labels[start:stop],
-            index=index,
-        )
-        train_seconds += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        index.refresh_projected_codes(state.P)
-        refresh_seconds += time.perf_counter() - t0
+    for _, _, train_s, refresh_s in stream_chunks(
+        state, label_matrix, hash_model, index, db_features, db_labels, init_size, chunk_size, True
+    ):
+        train_seconds += train_s
+        refresh_seconds += refresh_s
     return TrainedPipeline(
         hash_model=hash_model,
         label_matrix=label_matrix,
@@ -313,8 +306,8 @@ def run_checkpoint_curve(
     query_features: np.ndarray,
     query_labels,
     checkpoints,
-    mode: str = "asym",
-    aggressiveness: float = 0.1,
+    mode: str = DEFAULT_MODE,
+    aggressiveness: float = DEFAULT_AGGRESSIVENESS,
     proj_seed: int = 0,
     init_size: int = DEFAULT_INIT_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
@@ -328,7 +321,6 @@ def run_checkpoint_curve(
     [(points_seen, EvalRun), ...].
     """
     db_features = np.asarray(db_features, dtype=np.float64)
-    n = db_features.shape[0]
     db_labels = list(db_labels)
     pending = sorted({int(c) for c in checkpoints})
     if pending and pending[0] < 1:
@@ -355,16 +347,9 @@ def run_checkpoint_curve(
         )
         rows.append((state.rounds_seen, run))
 
-    for start in range(init_size, n, chunk_size):
-        stop = min(start + chunk_size, n)
-        process_chunk(
-            state,
-            label_matrix,
-            hash_model,
-            db_features[start:stop],
-            db_labels[start:stop],
-            index=index,
-        )
+    for _ in stream_chunks(
+        state, label_matrix, hash_model, index, db_features, db_labels, init_size, chunk_size, False
+    ):
         if pending and state.rounds_seen >= pending[0]:
             pending = [c for c in pending if c > state.rounds_seen]
             evaluate_now()
@@ -378,23 +363,21 @@ def run_c_sweep(
     nbits: int,
     c_values,
     seed: int,
-    n_queries: int = 500,
+    n_queries: int = DEFAULT_SWEEP_QUERIES,
     init_size: int = DEFAULT_INIT_SIZE,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mode: str = "asym",
+    mode: str = DEFAULT_MODE,
 ) -> list[tuple[float, float]]:
     """Final mAP for each aggressiveness value, all else held fixed.
 
     Reported for inspection; the method is insensitive over a wide range,
     so no ordering is asserted anywhere.
     """
+    db_f, db_l, q_f, q_l = split_queries(dataset.features, dataset.labels, n_queries, seed)
     rows = []
     for c in c_values:
         if c <= 0:
             raise ValueError("aggressiveness values must be positive")
-        db_f, db_l, q_f, q_l = split_queries(
-            dataset.features, dataset.labels, n_queries, seed
-        )
         pipe = run_streaming_pipeline(
             db_f,
             db_l,

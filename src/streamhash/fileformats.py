@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codes import words_per_code
+from .errors import LockContentionError
 from .index import CodeIndex
 from .itq import HashModel
 from .labelcodes import LabelHashMatrix
@@ -70,7 +72,7 @@ def bundle_lock(path: str):
         try:
             fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            raise RuntimeError(f"another command is mutating {path}") from None
+            raise LockContentionError(f"another command is mutating {path}") from None
         yield
 
 
@@ -123,6 +125,11 @@ def _read_array(r: _Reader) -> np.ndarray:
     count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
     raw = r.take_bytes(count * dtype.itemsize)
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+
+
+def _expect_shape(what: str, name: str, arr: np.ndarray, shape: tuple):
+    if arr.shape != shape:
+        raise ValueError(f"{what}: {name} has shape {arr.shape}, header implies {shape}")
 
 
 # -- feature files ----------------------------------------------------------
@@ -261,6 +268,18 @@ def bundle_from_bytes(data: bytes, what: str = "model bundle") -> ModelBundle:
     arrays = [_read_array(r) for _ in range(11)]
     r.expect_end()
     W, b, mean, rotation, itq_errors, itq_orth, L, P, R, code_m, feat_m = arrays
+    for name, arr, shape in (
+        ("W", W, (dim, nbits)),
+        ("b", b, (nbits,)),
+        ("feature_mean", mean, (dim,)),
+        ("rotation", rotation, (nbits, nbits)),
+        ("L", L, (n_classes, nbits)),
+        ("P", P, (nbits, nbits)),
+        ("R", R, (dim, nbits)),
+        ("code_mistakes", code_m, (nbits,)),
+        ("feature_mistakes", feat_m, (nbits,)),
+    ):
+        _expect_shape(what, name, arr, shape)
     hm = HashModel(
         W=W,
         b=b,
@@ -349,8 +368,18 @@ def index_from_bytes(data: bytes, what: str = "index file") -> CodeIndex:
     words = _read_array(r)
     projected = _read_array(r) if has_projected else None
     r.expect_end()
-    if words.shape[0] != size:
-        raise ValueError(f"{what}: header claims {size} codes, payload has {words.shape[0]}")
+    width = words_per_code(nbits)
+    if words.shape != (size, width):
+        raise ValueError(
+            f"{what}: header claims {size} codes of {width} words, payload has {words.shape}"
+        )
+    if projected is not None and not (
+        projected.ndim == 2 and projected.shape[0] <= size and projected.shape[1] == width
+    ):
+        raise ValueError(
+            f"{what}: projected cache has shape {projected.shape}, "
+            f"header allows at most {size} rows of {width} words"
+        )
     index = CodeIndex(nbits)
     index._words = words.astype("<u8")
     index._size = size

@@ -25,28 +25,28 @@ sign disagreement (sign(0) = +1) with the target bit.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codes import sign
 from .errors import ZeroNormError
-from .itq import HashModel, encode, encode_batch
-from .labelcodes import LabelHashMatrix, ideal_code
+from .itq import HashModel, encode, encode_batch, fit_pca_itq
+from .labelcodes import LabelHashMatrix, ideal_code, sample_label_matrix
 
 DEFAULT_AGGRESSIVENESS = 0.1
+DEFAULT_INIT_SIZE = 300  # points that only fit the hash stage
+DEFAULT_CHUNK_SIZE = 1000
 
 
-def hinge_loss_code(target: int, w: np.ndarray, code: np.ndarray) -> float:
-    """Hinge loss of a code-side column on one (code, target-bit) pair."""
-    margin = target * float(np.dot(w, code))
+def hinge_loss(target: int, w: np.ndarray, v: np.ndarray) -> float:
+    """Hinge loss of one column on one (input, target-bit) pair; input is a code or feature."""
+    margin = target * float(np.dot(w, v))
     return 0.0 if margin >= 1.0 else 1.0 - margin
 
 
-def hinge_loss_feature(target: int, w: np.ndarray, x: np.ndarray) -> float:
-    """Hinge loss of a feature-side column on one (feature, target-bit) pair."""
-    margin = target * float(np.dot(w, x))
-    return 0.0 if margin >= 1.0 else 1.0 - margin
+hinge_loss_code = hinge_loss_feature = hinge_loss
 
 
 def update_code_projection(
@@ -59,7 +59,7 @@ def update_code_projection(
     """
     if aggressiveness <= 0:
         raise ValueError("aggressiveness must be positive")
-    loss = hinge_loss_code(target, w, code)
+    loss = hinge_loss(target, w, code)
     if loss == 0.0:
         return w, 0.0
     tau = min(aggressiveness, loss / code.size)
@@ -76,7 +76,7 @@ def update_feature_projection(
     """
     if aggressiveness <= 0:
         raise ValueError("aggressiveness must be positive")
-    loss = hinge_loss_feature(target, w, x)
+    loss = hinge_loss(target, w, x)
     if loss == 0.0:
         return w, 0.0
     sq = float(np.dot(x, x))
@@ -280,3 +280,47 @@ def process_chunk(
             state, label_matrix, hash_model, X[i], labels_seq[i], code=codes[i]
         )
     return codes
+
+
+def init_models(
+    X: np.ndarray,
+    nbits: int,
+    n_classes: int,
+    seed: int,
+    aggressiveness: float,
+    itq_iters: int,
+    record_stream: bool = False,
+) -> tuple[HashModel, LabelHashMatrix, ProjectionState]:
+    """Fit the hash stage on the init sample X, draw the label hasher and projections.
+
+    The one seed rule: hash stage seed, label hasher seed + 1, projections seed + 2.
+    """
+    hash_model = fit_pca_itq(X, nbits, iters=itq_iters, seed=seed)
+    label_matrix = sample_label_matrix(n_classes, nbits, seed=seed + 1)
+    state = init_projection_state(nbits, hash_model.dim, aggressiveness, seed + 2, record_stream)
+    return hash_model, label_matrix, state
+
+
+def stream_chunks(
+    state: ProjectionState,
+    label_matrix: LabelHashMatrix,
+    hash_model: HashModel,
+    index,
+    X: np.ndarray,
+    labels,
+    first: int,
+    chunk: int,
+    refresh: bool,
+):
+    """Stream X[first:] in chunks: process_chunk, then a cache refresh from P if `refresh`.
+
+    Yields (start, stop, train_seconds, refresh_seconds) after each chunk.
+    """
+    for start in range(first, X.shape[0], chunk):
+        stop = min(start + chunk, X.shape[0])
+        t0 = time.perf_counter()
+        process_chunk(state, label_matrix, hash_model, X[start:stop], labels[start:stop], index)
+        t1 = time.perf_counter()
+        if refresh:
+            index.refresh_projected_codes(state.P)
+        yield start, stop, t1 - t0, (time.perf_counter() - t1) if refresh else 0.0

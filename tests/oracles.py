@@ -138,6 +138,22 @@ def average_precision_fraction(ranked_ids, relevance) -> Fraction:
     return total / n_rel
 
 
+def groundtruth_neighbors_sets(query_labels, db_labels) -> np.ndarray:
+    """Relevance by set intersection: item i shares >= 1 class with the query."""
+    q = frozenset(query_labels)
+    return np.fromiter((bool(q & set(d)) for d in db_labels), dtype=bool, count=len(db_labels))
+
+
+def mean_relevant_fraction_sets(query_labels, db_labels) -> float:
+    """Mean share of relevant items over queries with any, one set scan per query."""
+    fracs = []
+    for labels in query_labels:
+        rel = groundtruth_neighbors_sets(labels, db_labels)
+        if rel.any():
+            fracs.append(rel.mean())
+    return float(np.mean(fracs)) if fracs else 0.0
+
+
 def map_exhaustive(db_codes, query_codes, query_relevances) -> float:
     """mAP over queries with >= 1 relevant item, all scalar arithmetic."""
     aps = []

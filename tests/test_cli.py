@@ -1,13 +1,23 @@
 """End-to-end command-line flows, exit codes, and file-level determinism."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
-from streamhash import encode, load_bundle, load_index, read_features, read_labels, save_bundle
+from streamhash import (
+    encode,
+    load_bundle,
+    load_index,
+    read_features,
+    read_labels,
+    run_streaming_pipeline,
+    save_bundle,
+)
+from streamhash import cli
 from streamhash.cli import main
-from streamhash.fileformats import bundle_lock
+from streamhash.fileformats import bundle_lock, index_to_bytes
 
 
 def read_csv(path):
@@ -194,6 +204,34 @@ class TestStream:
         assert main(init_args(corpus)) == 0
         with bundle_lock(corpus["bundle"]):
             assert main(stream_args(corpus)) == 3
+
+    def test_bundle_array_disagreeing_with_header_is_exit_2(self, corpus):
+        assert main(init_args(corpus)) == 0
+        bundle = load_bundle(corpus["bundle"])
+        bundle.state = dataclasses.replace(bundle.state, P=np.eye(4))
+        save_bundle(corpus["bundle"], bundle)
+        assert main(stream_args(corpus)) == 2
+
+    def test_cli_stream_matches_library_pipeline(self, corpus):
+        # Same float32-read data, seed and sizes through both entry points.
+        assert main(init_args(corpus)) == 0
+        assert main(stream_args(corpus)) == 0
+        bundle = load_bundle(corpus["bundle"])
+        index = load_index(corpus["index"])
+        features = read_features(corpus["db_f"])
+        labels, n_classes = read_labels(corpus["db_l"])
+        pipe = run_streaming_pipeline(
+            features, labels, n_classes, 16, seed=5, init_size=120, chunk_size=120
+        )
+        st, ref = bundle.state, pipe.state
+        np.testing.assert_array_equal(st.P, ref.P)
+        np.testing.assert_array_equal(st.R, ref.R)
+        np.testing.assert_array_equal(st.ledger.code_mistakes, ref.ledger.code_mistakes)
+        np.testing.assert_array_equal(st.ledger.feature_mistakes, ref.ledger.feature_mistakes)
+        assert st.rounds_seen == ref.rounds_seen == 480
+        np.testing.assert_array_equal(index._words, pipe.index._words[: len(pipe.index)])
+        np.testing.assert_array_equal(index._projected, pipe.index._projected)
+        assert index_to_bytes(pipe.index) == open(corpus["index"], "rb").read()
 
     def test_class_count_mismatch_is_exit_2(self, corpus, tmp_path):
         from streamhash import write_labels
@@ -384,6 +422,16 @@ class TestSweepC:
         assert header == ["aggressiveness", "mean_ap"]
         assert [float(r[0]) for r in rows] == [0.01, 0.1]
         assert all(0.0 <= float(r[1]) <= 1.0 for r in rows)
+
+
+class TestExitCodes:
+    def test_unrelated_runtime_error_is_not_exit_3(self, corpus, monkeypatch):
+        def broken(path):
+            raise RuntimeError("not a lock or freshness problem")
+
+        monkeypatch.setattr(cli, "read_features", broken)
+        with pytest.raises(RuntimeError, match="not a lock"):
+            main(init_args(corpus))
 
 
 class TestArgumentErrors:

@@ -6,10 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     average_precision_fraction,
+    groundtruth_neighbors_sets,
     map_exhaustive,
+    mean_relevant_fraction_sets,
     project_scalar,
 )
 from streamhash import (
@@ -40,6 +44,24 @@ class TestGroundTruth:
     def test_no_overlap_anywhere(self):
         rel = groundtruth_neighbors({5}, [{1}, {2, 3}])
         assert not rel.any()
+
+    # Database classes stop at 7 and query classes at 11, so some query
+    # classes belong to no database item; empty label sets are allowed.
+    @given(
+        st.lists(st.frozensets(st.integers(0, 7), max_size=3), max_size=30),
+        st.lists(st.frozensets(st.integers(0, 11), max_size=3), max_size=6),
+    )
+    @example([], [frozenset({1})])
+    @example([frozenset(), frozenset({2})], [frozenset(), frozenset({9}), frozenset({2, 9})])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_set_oracle_exactly(self, db_labels, query_labels):
+        for q in query_labels:
+            got = groundtruth_neighbors(q, db_labels)
+            want = groundtruth_neighbors_sets(q, db_labels)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        got = mean_relevant_fraction(query_labels, db_labels)
+        assert got == mean_relevant_fraction_sets(query_labels, db_labels)
 
 
 class TestAveragePrecision:

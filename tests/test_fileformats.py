@@ -1,5 +1,6 @@
 """Round trips and corruption handling for the on-disk formats."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -21,7 +22,14 @@ from streamhash import (
     write_features,
     write_labels,
 )
-from streamhash.fileformats import atomic_write_bytes, bundle_lock, bundle_to_bytes
+from streamhash.fileformats import (
+    atomic_write_bytes,
+    bundle_from_bytes,
+    bundle_lock,
+    bundle_to_bytes,
+    index_from_bytes,
+    index_to_bytes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -180,12 +188,37 @@ class TestBundleFiles:
     def test_truncated_and_trailing(self, tmp_path, trained):
         bundle = ModelBundle(trained.hash_model, trained.label_matrix, trained.state, {})
         data = bundle_to_bytes(bundle)
-        from streamhash.fileformats import bundle_from_bytes
-
         with pytest.raises(ValueError, match="truncated"):
             bundle_from_bytes(data[:-1])
         with pytest.raises(ValueError, match="trailing"):
             bundle_from_bytes(data + b"\x00")
+
+
+    @pytest.mark.parametrize(
+        "name",
+        ["W", "b", "feature_mean", "rotation", "L", "P", "R", "code_mistakes", "feature_mistakes"],
+    )
+    def test_array_shape_disagreeing_with_header_rejected(self, trained, name):
+        hm, lm, st = trained.hash_model, trained.label_matrix, trained.state
+        led = st.ledger
+        if hasattr(hm, name):
+            hm = dataclasses.replace(hm, **{name: getattr(hm, name)[:-1]})
+        elif hasattr(lm, name):
+            lm = dataclasses.replace(lm, **{name: getattr(lm, name)[:-1]})
+        elif hasattr(led, name):
+            led = dataclasses.replace(led, **{name: getattr(led, name)[:-1]})
+            st = dataclasses.replace(st, ledger=led)
+        else:
+            st = dataclasses.replace(st, **{name: getattr(st, name)[:-1]})
+        data = bundle_to_bytes(ModelBundle(hm, lm, st, {}))
+        with pytest.raises(ValueError, match=f"{name} has shape"):
+            bundle_from_bytes(data)
+
+    def test_square_p_of_the_wrong_size_rejected(self, trained):
+        st = dataclasses.replace(trained.state, P=np.eye(4))
+        data = bundle_to_bytes(ModelBundle(trained.hash_model, trained.label_matrix, st, {}))
+        with pytest.raises(ValueError, match="P has shape"):
+            bundle_from_bytes(data)
 
 
 class TestIndexFiles:
@@ -255,6 +288,31 @@ class TestIndexFiles:
         atomic_write_bytes(path, bytes(data))
         with pytest.raises(ValueError, match="claims"):
             load_index(path)
+
+    def test_words_too_narrow_for_header_bits_rejected(self):
+        index, _ = self.build_index(False)
+        index.nbits = 128
+        with pytest.raises(ValueError, match="claims 40 codes of 2 words"):
+            index_from_bytes(index_to_bytes(index))
+
+    def test_projected_rows_beyond_size_rejected(self):
+        index, _ = self.build_index(True)
+        index._projected = np.vstack([index._projected, index._projected[:1]])
+        with pytest.raises(ValueError, match="projected cache"):
+            index_from_bytes(index_to_bytes(index))
+
+    def test_projected_width_disagreeing_with_header_rejected(self):
+        index, _ = self.build_index(True)
+        index._projected = np.zeros((40, 2), dtype="<u8")
+        with pytest.raises(ValueError, match="projected cache"):
+            index_from_bytes(index_to_bytes(index))
+
+    def test_projected_behind_size_accepted(self):
+        index, P = self.build_index(True)
+        index.insert(np.ones(16, dtype=np.int8))
+        got = index_from_bytes(index_to_bytes(index))
+        assert (len(got), got.n_projected) == (41, 40)
+        got.assert_fresh(P)
 
     def test_bad_magic(self, tmp_path):
         index, _ = self.build_index(False)
