@@ -59,6 +59,38 @@ def _read_labelled(features_path: str, labels_path: str):
     return features, labels, n_classes
 
 
+def _load_index_for(path: str, bundle: ModelBundle) -> CodeIndex:
+    """Load an index and check that it holds codes of the bundle's length."""
+    index = load_index(path)
+    if index.nbits != bundle.hash_model.nbits:
+        raise ValueError(
+            f"{path} holds {index.nbits}-bit codes but the bundle makes "
+            f"{bundle.hash_model.nbits}-bit codes; wrong index file?"
+        )
+    return index
+
+
+def _resume_index(path: str, bundle: ModelBundle) -> CodeIndex:
+    """The index of a resumed stream, cut back to the codes its bundle committed.
+
+    `stream` saves the index before the bundle, so a crash between the two
+    leaves an index one chunk ahead. Stored codes depend only on the
+    features, so the first rounds_seen of them are exact. A cache over the
+    dropped codes came from that chunk's one refresh, which is undone too.
+    """
+    index = _load_index_for(path, bundle)
+    rounds = bundle.state.rounds_seen
+    if len(index) < rounds:
+        raise ValueError(
+            f"index holds {len(index)} codes but bundle has seen {rounds} points; "
+            "wrong index file?"
+        )
+    if index.n_projected > rounds:
+        index.projection_version -= 1
+    index.truncate(rounds)
+    return index
+
+
 def _eval_row(points_seen: int, mode: str, run) -> list:
     return [points_seen, mode, run.query_ids.size, int(run.evaluated.sum()), repr(run.mean_ap)]
 
@@ -145,12 +177,7 @@ def cmd_stream(args) -> int:
 
         state = bundle.state
         if state.rounds_seen > 0:
-            index = load_index(index_out)
-            if len(index) != state.rounds_seen:
-                raise ValueError(
-                    f"index holds {len(index)} codes but bundle has seen "
-                    f"{state.rounds_seen} points; wrong index file?"
-                )
+            index = _resume_index(index_out, bundle)
         else:
             index = CodeIndex(bundle.hash_model.nbits)
         first = init_size + state.rounds_seen
@@ -173,8 +200,8 @@ def cmd_stream(args) -> int:
         )
         for start, _, train_s, refresh_s in chunks:
             cumulative += train_s + refresh_s
-            save_bundle(bundle_out, bundle)
             save_index(index_out, index)
+            save_bundle(bundle_out, bundle)  # last: the bundle commits the chunk
             metrics_rows.append(
                 [
                     (start - init_size) // chunk + 1,
@@ -200,7 +227,7 @@ def cmd_stream(args) -> int:
 
 def cmd_query(args) -> int:
     bundle = load_bundle(args.bundle)
-    index = load_index(args.index)
+    index = _load_index_for(args.index, bundle)
     queries = read_features(args.features).astype(np.float64)
     if queries.shape[1] != bundle.hash_model.dim:
         raise ValueError(
@@ -252,7 +279,7 @@ def cmd_eval(args) -> int:
     else:
         if not args.index:
             raise ValueError("eval needs --index (or --checkpoints with --db-features)")
-        index = load_index(args.index)
+        index = _load_index_for(args.index, bundle)
         run = mean_average_precision(
             index,
             bundle.hash_model,

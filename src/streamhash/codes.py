@@ -52,14 +52,17 @@ def pack_rows(bits: np.ndarray) -> np.ndarray:
     bits = np.asarray(bits)
     if bits.ndim != 2:
         raise ValueError(f"expected a 2-D code matrix, got shape {bits.shape}")
-    n, nbits = bits.shape
-    if nbits < 1:
+    if bits.shape[1] < 1:
         raise ValueError("codes must have at least one bit")
-    on = (bits > 0).astype(np.uint8)
-    packed = np.packbits(on, axis=1, bitorder="little")
-    out = np.zeros((n, words_per_code(nbits) * 8), dtype=np.uint8)
-    out[:, : packed.shape[1]] = packed
-    return out.view("<u8")
+    return pack_bools(bits > 0)
+
+
+def pack_bools(on: np.ndarray) -> np.ndarray:
+    """Pack an (N, K) boolean matrix, True for +1, into (N, ceil(K/64)) uint64 words."""
+    n, nbits = on.shape
+    out = np.zeros((n, words_per_code(nbits)), dtype="<u8")
+    out.view(np.uint8)[:, : (nbits + 7) // 8] = np.packbits(on, axis=1, bitorder="little")
+    return out
 
 
 def unpack_rows(words: np.ndarray, nbits: int) -> np.ndarray:

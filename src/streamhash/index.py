@@ -20,6 +20,7 @@ import numpy as np
 
 from .codes import (
     hamming_rows,
+    pack_bools,
     pack_rows,
     sign,
     unpack_rows,
@@ -90,6 +91,15 @@ class CodeIndex:
         self._size += n
         return ids
 
+    def truncate(self, n: int):
+        """Keep the first n codes; a cache that covers dropped codes is dropped too."""
+        if not 0 <= n <= self._size:
+            raise ValueError(f"cannot truncate {self._size} codes to {n}")
+        self._size = n
+        if self.n_projected > n:
+            self._projected = None
+            self._projection_digest = None
+
     def stored_code(self, idx: int) -> np.ndarray:
         """The fixed +-1 code stored under an id."""
         if not 0 <= idx < self._size:
@@ -107,9 +117,8 @@ class CodeIndex:
         out = np.empty((self._size, self._n_words), dtype="<u8")
         for start in range(0, self._size, REFRESH_BLOCK_ROWS):
             stop = min(start + REFRESH_BLOCK_ROWS, self._size)
-            h_block = unpack_rows(self._words[start:stop], self.nbits)
-            g_block = sign(h_block.astype(np.float64) @ P)
-            out[start:stop] = pack_rows(g_block)
+            h_block = unpack_rows(self._words[start:stop], self.nbits).astype(np.float64)
+            out[start:stop] = pack_bools(h_block @ P >= 0.0)
         self._projected = out
         self.projection_version += 1
         self._projection_digest = _projection_digest(P)

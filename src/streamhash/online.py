@@ -25,12 +25,12 @@ sign disagreement (sign(0) = +1) with the target bit.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import sign
 from .errors import ZeroNormError
 from .itq import HashModel, encode, encode_batch, fit_pca_itq
 from .labelcodes import LabelHashMatrix, ideal_code, sample_label_matrix
@@ -113,14 +113,26 @@ class BoundLedger:
             self.feature_mistakes = np.zeros(self.nbits, dtype=np.int64)
 
     def record_round(self, code, x, target, code_pred, feature_pred):
-        self.code_mistakes += code_pred != target
-        self.feature_mistakes += feature_pred != target
-        self.r_max = max(self.r_max, float(np.sqrt(np.dot(x, x))))
-        self.rounds += 1
+        x = np.asarray(x, dtype=np.float64)
+        self.record_rows(
+            np.asarray(code)[None, :],
+            x[None, :],
+            np.asarray(target)[None, :],
+            (code_pred != target)[None, :],
+            (feature_pred != target)[None, :],
+            [float(np.dot(x, x))],
+        )
+
+    def record_rows(self, codes, X, targets, code_wrong, feature_wrong, sq_norms):
+        """Add rounds at once: (n, K) mistake flags and each row's ||x||^2."""
+        self.code_mistakes += code_wrong.sum(axis=0)
+        self.feature_mistakes += feature_wrong.sum(axis=0)
+        self.r_max = max([self.r_max, *map(math.sqrt, sq_norms)])
+        self.rounds += len(codes)
         if self.record_stream:
-            self._codes.append(np.asarray(code, dtype=np.int8))
-            self._targets.append(np.asarray(target, dtype=np.int8))
-            self._features.append(np.asarray(x, dtype=np.float64))
+            self._codes.extend(np.asarray(codes, dtype=np.int8))
+            self._targets.extend(np.asarray(targets, dtype=np.int8))
+            self._features.extend(np.asarray(X, dtype=np.float64))
 
     def code_stream(self) -> tuple[np.ndarray, np.ndarray]:
         """(rounds, K) codes and targets seen so far."""
@@ -204,6 +216,69 @@ def init_projection_state(
     )
 
 
+def _require_finite(X: np.ndarray):
+    """Reject NaN and infinite features, which the dense steps would spread through R."""
+    if not np.isfinite(X).all():
+        raise ValueError("features must be finite")
+
+
+def _chunk_targets(label_matrix: LabelHashMatrix, labels_seq) -> np.ndarray:
+    """(n, K) target codes, calling ideal_code once per distinct label set."""
+    cache = {}
+    rows = []
+    for labels in labels_seq:
+        key = tuple(sorted(set(labels)))
+        if key not in cache:
+            cache[key] = ideal_code(label_matrix, key)
+        rows.append(cache[key])
+    return np.array(rows, dtype=np.int8).reshape(len(rows), label_matrix.nbits)
+
+
+def _learn_rows(state: ProjectionState, codes: np.ndarray, X: np.ndarray, targets: np.ndarray):
+    """The per-point passive-aggressive steps over the rows of one chunk, in order.
+
+    A bit with zero hinge loss gets tau = 0, so the dense rank-one step
+    leaves its column bit-identical. The ledger takes the rows that
+    completed, also when a zero-norm feature stops the chunk part-way.
+    """
+    H = codes.astype(np.float64)
+    G = targets.astype(np.float64)
+    sq_norms = [float(np.dot(x, x)) for x in X]  # np.dot's order keeps R and r_max exact
+    n, nbits = H.shape
+    P, R, c = state.P, state.R, state.aggressiveness
+    code_scores = np.empty((n, nbits))
+    feat_scores = np.empty((n, nbits))
+    done = 0
+    try:
+        for i in range(n):
+            h, x, g = H[i], X[i], G[i]
+            s = code_scores[i] = h @ P
+            m = g * s
+            loss = np.where(m >= 1.0, 0.0, 1.0 - m)
+            P += np.multiply.outer(h, np.minimum(c, loss / nbits) * g)
+
+            s = feat_scores[i] = x @ R
+            m = g * s
+            loss = np.where(m >= 1.0, 0.0, 1.0 - m)
+            sq = sq_norms[i]
+            if sq > 0.0:
+                R += np.multiply.outer(x, np.minimum(c, loss / sq) * g)
+            elif loss.any():
+                raise ZeroNormError("zero-norm feature with positive loss has no finite update")
+            done = i + 1
+    finally:
+        positive = targets[:done] > 0
+        state.ledger.record_rows(
+            codes[:done],
+            X[:done],
+            targets[:done],
+            (code_scores[:done] >= 0.0) != positive,
+            (feat_scores[:done] >= 0.0) != positive,
+            sq_norms[:done],
+        )
+        state.rounds_seen += done
+
+
 def process_stream_point(
     state: ProjectionState,
     label_matrix: LabelHashMatrix,
@@ -220,36 +295,11 @@ def process_stream_point(
     encode(hash_model, x)). Mutates and returns `state`.
     """
     x = np.asarray(x, dtype=np.float64)
+    _require_finite(x)
     if code is None:
         code = encode(hash_model, x)
     target = ideal_code(label_matrix, labels)
-    h = code.astype(np.float64)
-    g = target.astype(np.float64)
-    nbits = state.P.shape[1]
-
-    code_scores = h @ state.P
-    code_pred = sign(code_scores)
-    code_losses = np.where(g * code_scores >= 1.0, 0.0, 1.0 - g * code_scores)
-    active = code_losses > 0.0
-    if np.any(active):
-        taus = np.minimum(state.aggressiveness, code_losses / nbits)
-        state.P[:, active] += h[:, None] * (taus * g)[active]
-
-    feat_scores = x @ state.R
-    feat_pred = sign(feat_scores)
-    feat_losses = np.where(g * feat_scores >= 1.0, 0.0, 1.0 - g * feat_scores)
-    active_r = feat_losses > 0.0
-    if np.any(active_r):
-        sq = float(np.dot(x, x))
-        if sq == 0.0:
-            raise ZeroNormError(
-                "zero-norm feature with positive loss has no finite update"
-            )
-        taus_r = np.minimum(state.aggressiveness, feat_losses / sq)
-        state.R[:, active_r] += x[:, None] * (taus_r * g)[active_r]
-
-    state.ledger.record_round(code, x, target, code_pred, feat_pred)
-    state.rounds_seen += 1
+    _learn_rows(state, np.asarray(code)[None, :], x[None, :], target[None, :])
     return state
 
 
@@ -263,6 +313,8 @@ def process_chunk(
 ) -> np.ndarray:
     """Stream one chunk of points, optionally inserting codes into an index.
 
+    Features are checked and targets derived first, so a non-finite
+    feature or a bad label set rejects the chunk before anything changes.
     Codes are inserted before the learning updates, matching the
     encode-insert-update order of the per-point protocol. Returns the
     (N, nbits) code matrix.
@@ -272,13 +324,12 @@ def process_chunk(
         raise ValueError(f"expected a 2-D chunk, got shape {X.shape}")
     if len(labels_seq) != X.shape[0]:
         raise ValueError(f"{X.shape[0]} points but {len(labels_seq)} label sets")
+    _require_finite(X)
+    targets = _chunk_targets(label_matrix, labels_seq)
     codes = encode_batch(hash_model, X)
     if index is not None:
         index.insert_many(codes)
-    for i in range(X.shape[0]):
-        process_stream_point(
-            state, label_matrix, hash_model, X[i], labels_seq[i], code=codes[i]
-        )
+    _learn_rows(state, codes, X, targets)
     return codes
 
 

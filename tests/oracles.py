@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own closed forms and
 vectorised kernels: the QP step is solved numerically, Hamming distances
 and rankings come from plain Python loops, and average precision is
-computed in exact rational arithmetic.
+computed in exact rational arithmetic. The one exception is the reference
+learner, the per-point update loop the chunk fast path must reproduce bit
+for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import minimize
+
+from streamhash import ZeroNormError, encode, encode_batch, ideal_code, sign
 
 
 def solve_soft_margin_step(prev, feat, target, aggressiveness):
@@ -165,3 +169,63 @@ def map_exhaustive(db_codes, query_codes, query_relevances) -> float:
     if not aps:
         return 0.0
     return float(sum(aps) / len(aps))
+
+
+def reference_process_stream_point(state, label_matrix, hash_model, x, labels, code=None):
+    """The per-point learner as it was before the chunk fast path.
+
+    The body of the old process_stream_point, with the old
+    BoundLedger.record_round inlined, so nothing here goes through the
+    package's chunk path. Mutates and returns `state`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if code is None:
+        code = encode(hash_model, x)
+    target = ideal_code(label_matrix, labels)
+    h = code.astype(np.float64)
+    g = target.astype(np.float64)
+    nbits = state.P.shape[1]
+
+    code_scores = h @ state.P
+    code_pred = sign(code_scores)
+    code_losses = np.where(g * code_scores >= 1.0, 0.0, 1.0 - g * code_scores)
+    active = code_losses > 0.0
+    if np.any(active):
+        taus = np.minimum(state.aggressiveness, code_losses / nbits)
+        state.P[:, active] += h[:, None] * (taus * g)[active]
+
+    feat_scores = x @ state.R
+    feat_pred = sign(feat_scores)
+    feat_losses = np.where(g * feat_scores >= 1.0, 0.0, 1.0 - g * feat_scores)
+    active_r = feat_losses > 0.0
+    if np.any(active_r):
+        sq = float(np.dot(x, x))
+        if sq == 0.0:
+            raise ZeroNormError(
+                "zero-norm feature with positive loss has no finite update"
+            )
+        taus_r = np.minimum(state.aggressiveness, feat_losses / sq)
+        state.R[:, active_r] += x[:, None] * (taus_r * g)[active_r]
+
+    ledger = state.ledger
+    ledger.code_mistakes += code_pred != target
+    ledger.feature_mistakes += feat_pred != target
+    ledger.r_max = max(ledger.r_max, float(np.sqrt(np.dot(x, x))))
+    ledger.rounds += 1
+    if ledger.record_stream:
+        ledger._codes.append(np.asarray(code, dtype=np.int8))
+        ledger._targets.append(np.asarray(target, dtype=np.int8))
+        ledger._features.append(np.asarray(x, dtype=np.float64))
+    state.rounds_seen += 1
+    return state
+
+
+def reference_process_chunk(state, label_matrix, hash_model, X, labels_seq):
+    """Encode a chunk, then run the reference learner point by point."""
+    X = np.asarray(X, dtype=np.float64)
+    codes = encode_batch(hash_model, X)
+    for i in range(X.shape[0]):
+        reference_process_stream_point(
+            state, label_matrix, hash_model, X[i], labels_seq[i], code=codes[i]
+        )
+    return codes

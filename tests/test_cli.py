@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from streamhash import (
+    CodeIndex,
     encode,
     load_bundle,
     load_index,
@@ -14,6 +15,8 @@ from streamhash import (
     read_labels,
     run_streaming_pipeline,
     save_bundle,
+    save_index,
+    sign,
 )
 from streamhash import cli
 from streamhash.cli import main
@@ -54,6 +57,11 @@ def corpus(tmp_path):
     )
     assert rc == 0
     return paths
+
+
+def read_bytes(path):
+    with open(path, "rb") as f:
+        return f.read()
 
 
 def init_args(paths, **over):
@@ -192,6 +200,37 @@ class TestStream:
 
         save_index(corpus["index"], CodeIndex(16))
         assert main(stream_args(corpus)) == 2
+
+    @pytest.mark.parametrize("refresh", ["per-chunk", "never"])
+    def test_crash_between_index_and_bundle_save_resumes_exactly(
+        self, corpus, monkeypatch, refresh
+    ):
+        assert main(init_args(corpus)) == 0
+        assert main(stream_args(corpus, **{"--refresh": refresh})) == 0
+        one_shot = (read_bytes(corpus["bundle"]), read_bytes(corpus["index"]))
+
+        class Crash(Exception):
+            pass
+
+        real_save_bundle = cli.save_bundle
+        saves = []
+
+        def save_bundle_or_crash(path, bundle):
+            saves.append(path)
+            if len(saves) == 3:  # chunk 3: its index is on disk, its bundle is not
+                raise Crash
+            real_save_bundle(path, bundle)
+
+        assert main(init_args(corpus)) == 0
+        monkeypatch.setattr(cli, "save_bundle", save_bundle_or_crash)
+        with pytest.raises(Crash):
+            main(stream_args(corpus, **{"--refresh": refresh}))
+        monkeypatch.undo()
+        assert load_bundle(corpus["bundle"]).state.rounds_seen == 240
+        assert len(load_index(corpus["index"])) == 360
+
+        assert main(stream_args(corpus, **{"--refresh": refresh})) == 0
+        assert (read_bytes(corpus["bundle"]), read_bytes(corpus["index"])) == one_shot
 
     def test_nothing_to_stream(self, corpus, capsys):
         assert main(init_args(corpus)) == 0
@@ -398,6 +437,56 @@ class TestEval:
         _, direct_rows = read_csv(direct)
         _, curve_rows = read_csv(curve)
         assert direct_rows[0][4] == curve_rows[0][4]
+
+
+class TestBitsMismatch:
+    """A bundle and an index of different code lengths are wrong input: exit 2."""
+
+    def prepare(self, corpus):
+        # A 16-bit bundle, and a refreshed 32-bit index of as many codes.
+        assert main(init_args(corpus)) == 0
+        assert main(stream_args(corpus)) == 0
+        rng = np.random.default_rng(0)
+        wide = CodeIndex(32)
+        wide.insert_many(sign(rng.standard_normal((480, 32))))
+        wide.refresh_projected_codes(rng.standard_normal((32, 32)))
+        wide_index = str(corpus["dir"] / "wide.index")
+        save_index(wide_index, wide)
+        return wide_index
+
+    def test_query_is_exit_2(self, corpus):
+        wide_index = self.prepare(corpus)
+        out = str(corpus["dir"] / "hits.csv")
+        rc = main(
+            [
+                "query",
+                "--bundle", corpus["bundle"],
+                "--index", wide_index,
+                "--features", corpus["q_f"],
+                "--out", out,
+            ]
+        )
+        assert rc == 2
+
+    def test_eval_is_exit_2(self, corpus):
+        wide_index = self.prepare(corpus)
+        out = str(corpus["dir"] / "eval.csv")
+        rc = main(
+            [
+                "eval",
+                "--bundle", corpus["bundle"],
+                "--index", wide_index,
+                "--query-features", corpus["q_f"],
+                "--query-labels", corpus["q_l"],
+                "--db-labels", corpus["db_l"],
+                "--out", out,
+            ]
+        )
+        assert rc == 2
+
+    def test_stream_resume_is_exit_2(self, corpus):
+        wide_index = self.prepare(corpus)
+        assert main(stream_args(corpus, **{"--index-out": wide_index})) == 2
 
 
 class TestSweepC:

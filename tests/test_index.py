@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import project_scalar, rank_exhaustive
-from streamhash import CodeIndex, StaleProjectionError, sign
+from streamhash import CodeIndex, StaleProjectionError, pack_rows, sign, unpack_rows
+from streamhash import index as index_module
 
 
 def random_codes(rng, n, nbits):
@@ -118,6 +119,66 @@ class TestRefresh:
         del codes
         index.refresh_projected_codes(rng.standard_normal((16, 16)))
         assert index.n_projected == 500
+
+
+    @pytest.mark.parametrize("nbits", [1, 7, 8, 63, 64, 65, 130])
+    def test_cache_words_equal_the_sign_then_pack_path(self, nbits, monkeypatch):
+        # Direct packing of (h @ P) >= 0 must give the words of
+        # pack_rows(sign(h @ P)), pad bits included, across block edges.
+        monkeypatch.setattr(index_module, "REFRESH_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(nbits)
+        codes = random_codes(rng, 30, nbits)
+        P = rng.standard_normal((nbits, nbits))
+        P[:, 0] = 0.0  # zero scores: sign(0) = +1
+        index = CodeIndex(nbits)
+        index.insert_many(codes)
+        index.refresh_projected_codes(P)
+        expected = pack_rows(sign(unpack_rows(index._words[:30], nbits).astype(np.float64) @ P))
+        assert index._projected.dtype == expected.dtype
+        assert index._projected.tobytes() == expected.tobytes()
+
+
+class TestTruncate:
+    def test_keeps_the_first_codes_and_reuses_the_ids(self):
+        rng = np.random.default_rng(6)
+        codes = random_codes(rng, 12, 10)
+        index = CodeIndex(10)
+        index.insert_many(codes)
+        index.truncate(5)
+        assert len(index) == 5
+        np.testing.assert_array_equal(index.stored_code(4), codes[4])
+        with pytest.raises(IndexError):
+            index.stored_code(5)
+        assert index.insert(codes[11]) == 5
+        np.testing.assert_array_equal(index.stored_code(5), codes[11])
+
+    def test_cache_within_the_kept_codes_survives(self):
+        rng = np.random.default_rng(7)
+        index = CodeIndex(6)
+        index.insert_many(random_codes(rng, 4, 6))
+        index.refresh_projected_codes(np.eye(6))
+        index.insert_many(random_codes(rng, 3, 6))
+        index.truncate(4)
+        assert index.n_projected == 4
+        assert index.projection_version == 1
+        index.assert_fresh(np.eye(6))
+
+    def test_cache_over_dropped_codes_is_dropped(self):
+        rng = np.random.default_rng(8)
+        index = CodeIndex(6)
+        index.insert_many(random_codes(rng, 9, 6))
+        index.refresh_projected_codes(np.eye(6))
+        index.truncate(4)
+        assert index.n_projected == 0
+        with pytest.raises(StaleProjectionError):
+            index.assert_fresh(np.eye(6))
+
+    @pytest.mark.parametrize("n", [-1, 4])
+    def test_out_of_range_rejected(self, n):
+        index = CodeIndex(4)
+        index.insert_many(np.ones((3, 4), np.int8))
+        with pytest.raises(ValueError):
+            index.truncate(n)
 
 
 class TestStaleness:

@@ -1,17 +1,28 @@
 """Passive-aggressive updates, the stream driver and the mistake bounds."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import solve_soft_margin_step
+from oracles import (
+    reference_process_chunk,
+    reference_process_stream_point,
+    solve_soft_margin_step,
+)
 from streamhash import (
     BoundLedger,
+    CodeIndex,
+    EmptyLabelError,
     ZeroNormError,
     fit_pca_itq,
     hinge_loss_code,
     hinge_loss_feature,
     init_projection_state,
     mistake_bound,
+    process_chunk,
     process_stream_point,
     sample_label_matrix,
     sign,
@@ -209,6 +220,172 @@ class TestProcessStream:
             process_stream_point(state, lm, model, X[i], labels[i])
         norms = np.linalg.norm(X[40:80], axis=1)
         assert state.ledger.r_max == pytest.approx(float(norms.max()), rel=1e-12)
+
+
+def learner_bytes(state):
+    """Everything the learner writes, as bytes, for exact comparison."""
+    led = state.ledger
+    out = [
+        state.P.tobytes(),
+        state.R.tobytes(),
+        led.code_mistakes.tobytes(),
+        led.feature_mistakes.tobytes(),
+        np.float64(led.r_max).tobytes(),
+        led.rounds,
+        state.rounds_seen,
+    ]
+    if led.record_stream:
+        for arr in (*led.code_stream(), led.feature_stream()[0]):
+            out += [arr.dtype.str, arr.shape, arr.tobytes()]
+    return out
+
+
+def run_chunks(process, state, lm, model, X, labels, sizes):
+    """Feed X in chunks of the cycled sizes; return where a ZeroNormError stopped it."""
+    start = 0
+    for size in itertools.cycle(sizes):
+        if start >= X.shape[0]:
+            return None
+        try:
+            process(state, lm, model, X[start : start + size], labels[start : start + size])
+        except ZeroNormError:
+            return start
+        start += size
+
+
+@st.composite
+def labelled_streams(draw):
+    nbits = draw(st.integers(1, 10))
+    dim = nbits + draw(st.integers(0, 5))
+    n_classes = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 40))
+    # Unsorted label lists with repeats: the target cache must be order- and
+    # duplicate-insensitive exactly like ideal_code.
+    labels = draw(
+        st.lists(
+            st.lists(st.integers(0, n_classes - 1), min_size=1, max_size=5),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    sizes = draw(st.lists(st.integers(1, 15), min_size=1, max_size=4))
+    zero_row = draw(st.none() | st.integers(0, max(n - 1, 0))) if n else None
+    return dict(
+        nbits=nbits,
+        dim=dim,
+        n_classes=n_classes,
+        labels=labels,
+        sizes=sizes,
+        zero_row=zero_row,
+        seed=draw(st.integers(0, 2**16)),
+        aggressiveness=draw(st.sampled_from([0.001, 0.1, 1.0, 50.0])),
+        record=draw(st.booleans()),
+    )
+
+
+class TestChunkFastPath:
+    @settings(max_examples=120, deadline=None)
+    @given(labelled_streams())
+    def test_process_chunk_is_bit_identical_to_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        nbits, dim, n = case["nbits"], case["dim"], len(case["labels"])
+        model = fit_pca_itq(rng.standard_normal((nbits + 8, dim)), nbits, iters=5, seed=1)
+        lm = sample_label_matrix(case["n_classes"], nbits, seed=2)
+        X = rng.standard_normal((n, dim)) * rng.uniform(0.1, 3.0)
+        if case["zero_row"] is not None:
+            X[case["zero_row"]] = 0.0
+        runs = []
+        for process in (reference_process_chunk, process_chunk):
+            state = init_projection_state(
+                nbits, dim, case["aggressiveness"], seed=3, record_stream=case["record"]
+            )
+            stopped = run_chunks(process, state, lm, model, X, case["labels"], case["sizes"])
+            runs.append((stopped, learner_bytes(state)))
+        assert runs[0] == runs[1]
+        # A zero-norm point always has positive loss, so it must stop both.
+        assert (runs[0][0] is None) == (case["zero_row"] is None)
+
+    def test_zero_norm_point_mid_chunk_stops_at_the_same_point(self):
+        X, labels, model, lm = small_world(seed=14)
+        X = X[40:80].copy()
+        X[17] = 0.0
+        states = []
+        for process in (reference_process_chunk, process_chunk):
+            state = init_projection_state(8, 12, seed=15, record_stream=True)
+            with pytest.raises(ZeroNormError):
+                process(state, lm, model, X, labels[40:80])
+            states.append(state)
+        assert states[1].rounds_seen == 17
+        assert learner_bytes(states[0]) == learner_bytes(states[1])
+
+    def test_per_point_entry_is_bit_identical_to_reference(self):
+        X, labels, model, lm = small_world(seed=16)
+        runs = []
+        for process in (reference_process_stream_point, process_stream_point):
+            state = init_projection_state(8, 12, seed=17, record_stream=True)
+            for i in range(40, 120):
+                process(state, lm, model, X[i], [*labels[i], *labels[i]])
+            runs.append(learner_bytes(state))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("bad", [[], [4], [-1], [0, 9]])
+    @pytest.mark.parametrize("at", [0, 13, 29])
+    def test_bad_label_set_in_chunk_raises_the_reference_error(self, bad, at):
+        X, labels, model, lm = small_world(seed=18)
+        labels = [sorted(s) for s in labels[40:70]]
+        labels[at] = bad
+        errors = []
+        for process in (reference_process_chunk, process_chunk):
+            state = init_projection_state(8, 12, seed=19)
+            with pytest.raises((EmptyLabelError, ValueError)) as info:
+                process(state, lm, model, X[40:70], labels)
+            errors.append(type(info.value))
+        assert errors[0] is errors[1]
+        assert errors[0] is (EmptyLabelError if not bad else ValueError)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_feature_rejects_the_chunk_before_any_change(self, bad):
+        X, labels, model, lm = small_world(seed=24)
+        X = X[40:70].copy()
+        X[11, 3] = bad
+        state = init_projection_state(8, 12, seed=25, record_stream=True)
+        before = learner_bytes(state)
+        index = CodeIndex(8)
+        with pytest.raises(ValueError, match="finite"):
+            process_chunk(state, lm, model, X, labels[40:70], index=index)
+        with pytest.raises(ValueError, match="finite"):
+            process_stream_point(state, lm, model, X[11], labels[51])
+        assert learner_bytes(state) == before
+        assert len(index) == 0
+
+    def test_targets_derived_once_per_distinct_label_set(self, monkeypatch):
+        from streamhash import online
+
+        X, labels, model, lm = small_world(seed=22)
+        labels = [[1, 0], [0, 1, 1], [2], [1, 0, 0], [2, 2], [3]] * 5
+        calls = []
+        real = online.ideal_code
+
+        def counting(label_matrix, label_set):
+            calls.append(tuple(label_set))
+            return real(label_matrix, label_set)
+
+        monkeypatch.setattr(online, "ideal_code", counting)
+        state = init_projection_state(8, 12, seed=23)
+        process_chunk(state, lm, model, X[40:70], labels)
+        assert sorted(calls) == [(0, 1), (2,), (3,)]
+
+    def test_bad_label_set_rejects_the_chunk_before_any_change(self):
+        X, labels, model, lm = small_world(seed=20)
+        labels = list(labels[40:70])
+        labels[21] = set()
+        state = init_projection_state(8, 12, seed=21)
+        before = learner_bytes(state)
+        index = CodeIndex(8)
+        with pytest.raises(EmptyLabelError):
+            process_chunk(state, lm, model, X[40:70], labels, index=index)
+        assert learner_bytes(state) == before
+        assert len(index) == 0
 
 
 class TestInitState:
