@@ -98,5 +98,14 @@ def hamming(a: PackedCode, b: PackedCode) -> int:
 
 
 def hamming_rows(query_words: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Hamming distances from one packed code to every row of a word matrix."""
-    return np.bitwise_count(words ^ query_words).sum(axis=1).astype(np.int64)
+    """Hamming distances from one packed code to every row of a word matrix.
+
+    Counts accumulate word by word in the narrowest unsigned dtype that
+    holds 64 * W (uint8 up to 192 bits, uint16 above), so a stable sort of
+    the result is a radix sort.
+    """
+    out = np.bitwise_count(words[:, 0] ^ query_words[0])
+    out = out.astype(np.min_scalar_type(WORD_BITS * words.shape[1]), copy=False)
+    for w in range(1, words.shape[1]):
+        out += np.bitwise_count(words[:, w] ^ query_words[w])
+    return out

@@ -52,14 +52,15 @@ class EvalRun:
 
 def _label_matrix01(db_labels, query_label_sets) -> np.ndarray:
     """(N, C) database class membership; C also spans every query class."""
-    n_classes = 0
-    for labels in list(db_labels) + list(query_label_sets):
-        for c in labels:
-            n_classes = max(n_classes, int(c) + 1)
-    out = np.zeros((len(db_labels), n_classes), dtype=bool)
-    for i, labels in enumerate(db_labels):
-        for c in labels:
-            out[i, c] = True
+    n = len(db_labels)
+    counts = np.fromiter((len(labels) for labels in db_labels), dtype=np.intp, count=n)
+    cols = np.fromiter(
+        (int(c) for labels in db_labels for c in labels), dtype=np.intp, count=int(counts.sum())
+    )
+    top = max((int(c) for labels in query_label_sets for c in labels), default=-1)
+    n_classes = max(int(cols.max(initial=-1)), top) + 1
+    out = np.zeros((n, n_classes), dtype=bool)
+    out[np.repeat(np.arange(n), counts), cols] = True
     return out
 
 
@@ -81,12 +82,11 @@ def average_precision(ranked_ids, relevance) -> float:
     rel = np.asarray(relevance, dtype=bool)
     if ranked.size != rel.size:
         raise ValueError(f"ranking covers {ranked.size} items, relevance {rel.size}")
-    hits = rel[ranked]
-    n_rel = int(hits.sum())
+    pos = np.flatnonzero(rel[ranked])
+    n_rel = pos.size
     if n_rel == 0:
         return 0.0
-    ranks = np.arange(1, hits.size + 1, dtype=np.float64)
-    precision_at_hit = np.cumsum(hits)[hits] / ranks[hits]
+    precision_at_hit = np.arange(1, n_rel + 1, dtype=np.float64) / (pos + 1)
     return float(precision_at_hit.sum() / n_rel)
 
 

@@ -186,18 +186,26 @@ def read_labels(path: str) -> tuple[list, int]:
     if n_classes < 1:
         raise ValueError(f"{path}: class count must be positive")
     labels = []
+    # Each distinct line is parsed and checked once, at its first line number.
+    parsed = {}
     for ln, line in enumerate(lines[1:], start=2):
-        parts = line.split()
-        if not parts:
-            raise ValueError(f"{path}:{ln}: empty label line")
-        try:
-            idx = frozenset(int(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"{path}:{ln}: non-integer label") from None
-        if any(c < 0 or c >= n_classes for c in idx):
-            raise ValueError(f"{path}:{ln}: label outside [0, {n_classes})")
-        labels.append(idx)
+        if line not in parsed:
+            parsed[line] = _parse_label_line(path, ln, line, n_classes)
+        labels.append(parsed[line])
     return labels, n_classes
+
+
+def _parse_label_line(path: str, ln: int, line: str, n_classes: int) -> frozenset:
+    parts = line.split()
+    if not parts:
+        raise ValueError(f"{path}:{ln}: empty label line")
+    try:
+        idx = frozenset(int(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{path}:{ln}: non-integer label") from None
+    if any(c < 0 or c >= n_classes for c in idx):
+        raise ValueError(f"{path}:{ln}: label outside [0, {n_classes})")
+    return idx
 
 
 # -- model bundles ----------------------------------------------------------

@@ -29,7 +29,7 @@ from .codes import (
 )
 from .errors import StaleProjectionError
 
-REFRESH_BLOCK_ROWS = 65536
+REFRESH_BLOCK_ROWS = 8192
 
 
 def _projection_digest(P: np.ndarray) -> bytes:
@@ -115,8 +115,12 @@ class CodeIndex:
         if P.shape != (self.nbits, self.nbits):
             raise ValueError(f"P must be {self.nbits}x{self.nbits}, got {P.shape}")
         out = np.empty((self._size, self._n_words), dtype="<u8")
-        for start in range(0, self._size, REFRESH_BLOCK_ROWS):
-            stop = min(start + REFRESH_BLOCK_ROWS, self._size)
+        # Every block is min(size, REFRESH_BLOCK_ROWS) rows wide: the last
+        # one overlaps its neighbour instead of shrinking, because a narrow
+        # product (one row goes through gemv) can round differently.
+        for end in range(REFRESH_BLOCK_ROWS, self._size + REFRESH_BLOCK_ROWS, REFRESH_BLOCK_ROWS):
+            stop = min(end, self._size)
+            start = max(0, stop - REFRESH_BLOCK_ROWS)
             h_block = unpack_rows(self._words[start:stop], self.nbits).astype(np.float64)
             out[start:stop] = pack_bools(h_block @ P >= 0.0)
         self._projected = out
@@ -144,9 +148,10 @@ class CodeIndex:
         q_words = pack_rows(code_bits[None, :])[0]
         dists = hamming_rows(q_words, self._projected)
         k = min(k, dists.size)
-        # Stable sort on distance == ascending-id tie-break.
+        # Stable sort on distance == ascending-id tie-break; on the narrow
+        # distances from hamming_rows numpy's stable sort is a radix sort.
         order = np.argsort(dists, kind="stable")[:k]
-        return order.astype(np.int64), dists[order]
+        return order.astype(np.int64), dists[order].astype(np.int64)
 
     def query_symmetric(
         self, P: np.ndarray, code_bits, k: int

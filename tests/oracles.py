@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own closed forms and
 vectorised kernels: the QP step is solved numerically, Hamming distances
 and rankings come from plain Python loops, and average precision is
-computed in exact rational arithmetic. The one exception is the reference
+computed in exact rational arithmetic. The exceptions are the reference
 learner, the per-point update loop the chunk fast path must reproduce bit
-for bit.
+for bit, and the previous average-precision and label-matrix bodies, which
+the evaluator must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -229,3 +230,31 @@ def reference_process_chunk(state, label_matrix, hash_model, X, labels_seq):
             state, label_matrix, hash_model, X[i], labels_seq[i], code=codes[i]
         )
     return codes
+
+
+def reference_average_precision(ranked_ids, relevance) -> float:
+    """average_precision as it was before the hit-position form: full-length cumsum."""
+    ranked = np.asarray(ranked_ids, dtype=np.int64)
+    rel = np.asarray(relevance, dtype=bool)
+    if ranked.size != rel.size:
+        raise ValueError(f"ranking covers {ranked.size} items, relevance {rel.size}")
+    hits = rel[ranked]
+    n_rel = int(hits.sum())
+    if n_rel == 0:
+        return 0.0
+    ranks = np.arange(1, hits.size + 1, dtype=np.float64)
+    precision_at_hit = np.cumsum(hits)[hits] / ranks[hits]
+    return float(precision_at_hit.sum() / n_rel)
+
+
+def reference_label_matrix01(db_labels, query_label_sets) -> np.ndarray:
+    """The class-membership matrix as it was before vectorising: a Python double loop."""
+    n_classes = 0
+    for labels in list(db_labels) + list(query_label_sets):
+        for c in labels:
+            n_classes = max(n_classes, int(c) + 1)
+    out = np.zeros((len(db_labels), n_classes), dtype=bool)
+    for i, labels in enumerate(db_labels):
+        for c in labels:
+            out[i, c] = True
+    return out

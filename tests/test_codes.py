@@ -130,6 +130,21 @@ class TestHamming:
         expected = [hamming_scalar(q, row) for row in db]
         np.testing.assert_array_equal(dists, expected)
 
+    @pytest.mark.parametrize("n_words", [1, 3, 4, 5])
+    @pytest.mark.parametrize("pad", [0, 5])
+    def test_hamming_rows_is_narrow_and_exact(self, n_words, pad):
+        # uint8 holds 192 bits at most, so 4 and 5 words need uint16; the
+        # complement row reaches the largest distance the width allows.
+        nbits = 64 * n_words - pad
+        rng = np.random.default_rng(nbits)
+        q = sign(rng.standard_normal(nbits))
+        db = np.vstack([q, -q, sign(rng.standard_normal((40, nbits)))])
+        dists = hamming_rows(pack_code(q).words, pack_rows(db))
+        assert dists.dtype == np.min_scalar_type(64 * n_words)
+        assert dists.dtype == (np.uint8 if n_words <= 3 else np.uint16)
+        assert dists.tolist() == [hamming_scalar(q, row) for row in db]
+        assert dists[1] == nbits
+
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=120))
     @settings(max_examples=40, deadline=None)
     def test_distance_bounds_property(self, bits):

@@ -15,6 +15,8 @@ from oracles import (
     map_exhaustive,
     mean_relevant_fraction_sets,
     project_scalar,
+    reference_average_precision,
+    reference_label_matrix01,
 )
 from streamhash import (
     CodeIndex,
@@ -32,8 +34,21 @@ from streamhash import (
     sample_label_matrix,
     split_queries,
 )
+from streamhash.evaluate import _label_matrix01
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "toy_retrieval_50.json"
+
+
+# One label set in the forms callers pass: a frozenset, a list that may
+# repeat a class, or numpy integers.
+def label_set(max_class):
+    classes = st.lists(st.integers(0, max_class), max_size=4)
+    return st.one_of(
+        classes.map(frozenset),
+        classes,
+        classes.map(lambda cs: [np.int64(c) for c in cs]),
+        classes.map(lambda cs: np.array(cs, dtype=np.int32)),
+    )
 
 
 class TestGroundTruth:
@@ -106,6 +121,43 @@ class TestAveragePrecision:
             average_precision(rng.permutation(n), relevance) for _ in range(20)
         ]
         assert abs(np.mean(aps) - relevance.mean()) < 0.02
+
+
+class TestEvaluatorExactness:
+    """The evaluator's kernels against their previous bodies, compared with ==."""
+
+    @given(
+        st.lists(st.booleans(), min_size=1, max_size=300),
+        st.integers(0, 2**32 - 1),
+    )
+    @example([False] * 7, 0)
+    @example([True] * 7, 0)
+    @example([False] * 299 + [True], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_average_precision_equals_reference(self, relevance, seed):
+        ranking = np.random.default_rng(seed).permutation(len(relevance))
+        got = average_precision(ranking, relevance)
+        want = reference_average_precision(ranking, relevance)
+        assert type(got) is float
+        assert got == want
+        assert average_precision(ranking.tolist(), np.array(relevance)) == want
+
+    # Database classes stop at 7 and query classes at 11, so some query
+    # classes belong to no database item; empty label sets are allowed.
+    @given(
+        st.lists(label_set(7), max_size=30),
+        st.lists(label_set(11), max_size=6),
+    )
+    @example([], [])
+    @example([], [[3]])
+    @example([frozenset(), []], [frozenset({9})])
+    @example([[2, 2, 0], np.array([5, 5])], [[np.int64(10)]])
+    @settings(max_examples=200, deadline=None)
+    def test_label_matrix_equals_reference(self, db_labels, query_labels):
+        got = _label_matrix01(db_labels, query_labels)
+        want = reference_label_matrix01(db_labels, query_labels)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestMeanAveragePrecision:

@@ -2,9 +2,12 @@
 
 import dataclasses
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamhash import (
     CodeIndex,
@@ -130,6 +133,41 @@ class TestLabelFiles:
         with open(path, "w") as f:
             f.write(text)
         with pytest.raises(ValueError, match=pattern):
+            read_labels(path)
+
+
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=60),
+        st.lists(st.frozensets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_lines_give_equal_sets(self, picks, pool):
+        # Lines drawn from a small pool repeat; each reads back as its set.
+        labels = [pool[i % len(pool)] for i in picks]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "l.txt")
+            write_labels(path, labels, 6)
+            got, n_classes = read_labels(path)
+        assert got == labels and n_classes == 6
+        for a, b, want_a, want_b in zip(got, got[1:], labels, labels[1:]):
+            assert (a == b) == (want_a == want_b)
+
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            # A bad line seen twice fails at its first line.
+            ("C=3\n0\n1 x\n2\n1 x\n", ":3: non-integer"),
+            ("C=3\n0\n7\n0\n7\n", ":3: label outside"),
+            # A bad line after repeats of good lines is still caught.
+            ("C=3\n0 1\n0 1\n0 1\n0 3\n", ":5: label outside"),
+            ("C=3\n2\n2\n2\n\n2\n", ":5: empty label line"),
+        ],
+    )
+    def test_bad_line_reported_at_its_first_line(self, tmp_path, text, where):
+        path = str(tmp_path / "l.txt")
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ValueError, match=where):
             read_labels(path)
 
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import project_scalar, rank_exhaustive
 from streamhash import CodeIndex, StaleProjectionError, pack_rows, sign, unpack_rows
 from streamhash import index as index_module
+from streamhash.codes import pack_bools
 
 
 def random_codes(rng, n, nbits):
@@ -135,6 +138,30 @@ class TestRefresh:
         index.refresh_projected_codes(P)
         expected = pack_rows(sign(unpack_rows(index._words[:30], nbits).astype(np.float64) @ P))
         assert index._projected.dtype == expected.dtype
+        assert index._projected.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("nbits", [32, 64])
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 20000, 3 * 8192 + 1])
+    def test_blocked_refresh_equals_one_product(self, n, nbits, monkeypatch):
+        # With the shipped block size, a refresh must give the words of one
+        # product over the whole database, whatever block the edge rows fall
+        # in, and no block may be narrower than the block size.
+        assert index_module.REFRESH_BLOCK_ROWS == 8192
+        rng = np.random.default_rng(n + nbits)
+        index = CodeIndex(nbits)
+        index.insert_many(random_codes(rng, n, nbits))
+        P = rng.standard_normal((nbits, nbits))
+        widths = []
+
+        def recording_unpack(words, nbits):
+            widths.append(words.shape[0])
+            return unpack_rows(words, nbits)
+
+        monkeypatch.setattr(index_module, "unpack_rows", recording_unpack)
+        index.refresh_projected_codes(P)
+        monkeypatch.undo()
+        assert set(widths) == {min(n, 8192)} and len(widths) == -(-n // 8192)
+        expected = pack_bools(unpack_rows(index._words[:n], nbits).astype(np.float64) @ P >= 0.0)
         assert index._projected.tobytes() == expected.tobytes()
 
 
@@ -277,3 +304,57 @@ class TestRanking:
         b = index.query_symmetric(P, q, k=20)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+
+@st.composite
+def tied_ranking_cases(draw):
+    """A small index whose stored codes come from a pool of 1-4 codes."""
+    nbits = draw(st.sampled_from([1, 8, 63, 64, 65, 191, 192, 193, 255, 256, 257, 300]))
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, n + 3))
+    pool = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nbits, n, k, pool, seed
+
+
+class TestRankingExactness:
+    """query_* against the scalar oracle, with heavy ties and every k.
+
+    Projections and query features are small integers, so every score is
+    exact in float64 and the scalar projection agrees with the BLAS one.
+    """
+
+    def build(self, nbits, n, pool, seed):
+        rng = np.random.default_rng(seed)
+        codes = random_codes(rng, pool, nbits)[rng.integers(0, pool, size=n)]
+        index = CodeIndex(nbits)
+        index.insert_many(codes)
+        P = rng.integers(-2, 3, size=(nbits, nbits)).astype(np.float64)
+        index.refresh_projected_codes(P)
+        return index, codes, P, rng, unpack_rows(index._projected, nbits)
+
+    @staticmethod
+    def check(got, want_ids, want_dists, k):
+        ids, dists = got
+        assert ids.dtype == np.int64 and dists.dtype == np.int64
+        assert ids.tolist() == want_ids[:k]
+        assert dists.tolist() == want_dists[:k]
+
+    @given(tied_ranking_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_symmetric_matches_exhaustive_oracle(self, case):
+        nbits, n, k, pool, seed = case
+        index, codes, P, rng, cached = self.build(nbits, n, pool, seed)
+        q = codes[rng.integers(0, n)] if rng.random() < 0.5 else random_codes(rng, 1, nbits)[0]
+        want_ids, want_dists = rank_exhaustive(np.array(project_scalar(P, q), np.int8), cached)
+        self.check(index.query_symmetric(P, q, k), want_ids, want_dists, k)
+
+    @given(tied_ranking_cases(), st.integers(1, 5))
+    @settings(max_examples=120, deadline=None)
+    def test_asymmetric_matches_exhaustive_oracle(self, case, dim):
+        nbits, n, k, pool, seed = case
+        index, codes, P, rng, cached = self.build(nbits, n, pool, seed)
+        R = rng.integers(-2, 3, size=(dim, nbits)).astype(np.float64)
+        x = rng.integers(-3, 4, size=dim).astype(np.float64)
+        want_ids, want_dists = rank_exhaustive(np.array(project_scalar(R, x), np.int8), cached)
+        self.check(index.query_asymmetric(R, x, k), want_ids, want_dists, k)
